@@ -266,24 +266,18 @@ void DlaNode::handle_glsn_request(net::Transport& sim,
   // sequence number. In flight -> drop (the original reply is coming);
   // already served -> replay the remembered reply.
   const std::pair<net::NodeId, std::uint64_t> journal_key{msg.src, reqid};
-  if (auto jit = glsn_request_journal_.find(journal_key);
-      jit != glsn_request_journal_.end()) {
+  if (const GlsnServed* served = glsn_request_journal_.find(journal_key)) {
     ++replay_drops_;
-    if (jit->second.done) {
+    if (served->done) {
       net::Writer w;
       w.u64(reqid);
-      w.u64(jit->second.glsn);
+      w.u64(served->glsn);
       send_payload(sim, id(), msg.src, kGlsnReply, std::move(w));
     }
     return;
   }
   std::uint64_t gid = (static_cast<std::uint64_t>(id()) << 40) | next_gid_++;
-  glsn_request_journal_[journal_key] = GlsnServed{gid, 0, false};
-  glsn_request_order_.push_back(journal_key);
-  if (glsn_request_order_.size() > 4096) {
-    glsn_request_journal_.erase(glsn_request_order_.front());
-    glsn_request_order_.pop_front();
-  }
+  glsn_request_journal_.insert(journal_key, GlsnServed{gid, 0, false});
   PendingGlsn pending;
   pending.user = msg.src;
   pending.user_reqid = reqid;
@@ -313,11 +307,11 @@ void DlaNode::handle_glsn_forward(net::Transport& sim,
     ++replay_drops_;
     return;
   }
-  if (auto jit = forward_journal_.find(reqid); jit != forward_journal_.end()) {
+  if (const logm::Glsn* committed = forward_journal_.find(reqid)) {
     ++replay_drops_;
     net::Writer w;
     w.u64(reqid);
-    w.u64(jit->second);
+    w.u64(*committed);
     send_payload(sim, id(), gateway, kGlsnReply, std::move(w));
     return;
   }
@@ -347,20 +341,14 @@ void DlaNode::handle_glsn_propose(net::Transport& sim,
   logm::Glsn glsn = r.u64();
   r.expect_end();
   bool accept;
-  if (auto jit = propose_journal_.find(proposal_id);
-      jit != propose_journal_.end()) {
+  if (const bool* cast = propose_journal_.find(proposal_id)) {
     // Duplicate delivery: replay the vote already cast for this proposal.
-    accept = jit->second;
+    accept = *cast;
     ++replay_drops_;
   } else {
     accept = glsn > last_promised_;
     if (accept) last_promised_ = glsn;
-    propose_journal_[proposal_id] = accept;
-    propose_order_.push_back(proposal_id);
-    if (propose_order_.size() > 4096) {
-      propose_journal_.erase(propose_order_.front());
-      propose_order_.pop_front();
-    }
+    propose_journal_.insert(proposal_id, accept);
   }
   net::Writer w;
   w.u64(proposal_id);
@@ -391,12 +379,7 @@ void DlaNode::handle_glsn_vote(net::Transport& sim, const net::Message& msg) {
   if (round.accepts >= cfg_->majority()) {
     glsn_counter_ = std::max(glsn_counter_, round.proposal);
     forwards_in_flight_.erase(round.reqid);
-    forward_journal_[round.reqid] = round.proposal;
-    forward_order_.push_back(round.reqid);
-    if (forward_order_.size() > 4096) {
-      forward_journal_.erase(forward_order_.front());
-      forward_order_.pop_front();
-    }
+    forward_journal_.insert(round.reqid, round.proposal);
     for (net::NodeId replica : cfg_->dla_nodes) {
       net::Writer w;
       w.u64(round.proposal);
@@ -453,10 +436,9 @@ void DlaNode::handle_glsn_reply(net::Transport& sim, const net::Message& msg) {
   it->second.done = true;
   sim.cancel_timer(it->second.timer);
   timer_to_gid_.erase(it->second.timer);
-  if (auto jit = glsn_request_journal_.find(
-          {it->second.user, it->second.user_reqid});
-      jit != glsn_request_journal_.end()) {
-    jit->second = GlsnServed{0, glsn, true};
+  if (GlsnServed* served = glsn_request_journal_.find(
+          {it->second.user, it->second.user_reqid})) {
+    *served = GlsnServed{0, glsn, true};
   }
   net::Writer w;
   w.u64(it->second.user_reqid);
@@ -601,12 +583,10 @@ void DlaNode::handle_fragment_delete(net::Transport& sim,
   // answer refused; a reordered refusal can then overtake the original
   // acknowledgement at the session. Replay the remembered outcome instead.
   const std::pair<net::NodeId, std::uint64_t> journal_key{msg.src, reqid};
-  const auto jit = delete_journal_.find(journal_key);
-  const bool replay = jit != delete_journal_.end();
   bool ok;
-  if (replay) {
+  if (const bool* outcome = delete_journal_.find(journal_key)) {
     ++replay_drops_;
-    ok = jit->second;
+    ok = *outcome;
   } else {
     ok = tickets_->authorizes(ticket, logm::Op::Delete, sim.now()) &&
          acl_.allowed(ticket.id, logm::Op::Delete, glsn);
@@ -622,12 +602,7 @@ void DlaNode::handle_fragment_delete(net::Transport& sim,
       // sets naming this owner must not be served afterwards.
       if (ok) advance_store_epoch(sim);
     }
-    delete_journal_[journal_key] = ok;
-    delete_order_.push_back(journal_key);
-    if (delete_order_.size() > 4096) {
-      delete_journal_.erase(delete_order_.front());
-      delete_order_.pop_front();
-    }
+    delete_journal_.insert(journal_key, ok);
   }
   net::Writer w;
   w.u64(reqid);
@@ -1565,14 +1540,7 @@ void DlaNode::reply_user(net::Transport& sim, net::NodeId user,
   net::Bytes payload = std::move(w).take();
   const std::pair<net::NodeId, std::uint64_t> key{user, user_reqid};
   user_queries_in_flight_.erase(key);
-  if (!user_reply_journal_.contains(key)) {
-    user_reply_journal_[key] = UserReply{type, payload};
-    user_reply_order_.push_back(key);
-    if (user_reply_order_.size() > 4096) {
-      user_reply_journal_.erase(user_reply_order_.front());
-      user_reply_order_.pop_front();
-    }
-  }
+  user_reply_journal_.insert(key, UserReply{type, payload});
   sim.send(id(), user, type, std::move(payload));
 }
 
@@ -1583,13 +1551,12 @@ void DlaNode::reply_user(net::Transport& sim, net::NodeId user,
 bool DlaNode::query_is_duplicate(net::Transport& sim, net::NodeId user,
                                  std::uint64_t user_reqid) {
   const std::pair<net::NodeId, std::uint64_t> key{user, user_reqid};
-  if (auto it = user_reply_journal_.find(key);
-      it != user_reply_journal_.end()) {
+  if (const UserReply* reply = user_reply_journal_.find(key)) {
     // Re-running the pipeline now could observe a later store state and
     // overtake the genuine reply at the session — replay the remembered
     // bytes instead.
     ++replay_drops_;
-    sim.send(id(), user, it->second.type, it->second.payload);
+    sim.send(id(), user, reply->type, reply->payload);
     return true;
   }
   if (!user_queries_in_flight_.insert(key).second) {

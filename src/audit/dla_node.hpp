@@ -18,7 +18,6 @@
 // query gateway sees the final glsn set it returns to the querier.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -452,23 +451,20 @@ class DlaNode : public net::Node {
     logm::Glsn glsn = 0;       // assigned glsn once done
     bool done = false;
   };
-  std::map<std::pair<net::NodeId, std::uint64_t>, GlsnServed>
+  BoundedJournal<std::pair<net::NodeId, std::uint64_t>, GlsnServed>
       glsn_request_journal_;                          // gateway: (user, reqid)
-  std::deque<std::pair<net::NodeId, std::uint64_t>> glsn_request_order_;
   std::set<std::uint64_t> forwards_in_flight_;        // leader: gid -> round open
-  std::map<std::uint64_t, logm::Glsn> forward_journal_;  // leader: gid -> glsn
-  std::deque<std::uint64_t> forward_order_;
+  // Leader: gid -> the glsn its round committed.
+  BoundedJournal<std::uint64_t, logm::Glsn> forward_journal_;
   // Replica: proposal_id -> the vote already cast. A duplicated
   // kGlsnPropose must re-send the original vote; re-evaluating it against
   // last_promised_ (which the first copy raised) would emit a spurious
   // reject and could wedge the round without a majority either way.
-  std::map<std::uint64_t, bool> propose_journal_;
-  std::deque<std::uint64_t> propose_order_;
+  BoundedJournal<std::uint64_t, bool> propose_journal_;
   // Owner: outcome of each served kFragmentDelete by (user, reqid). Deletes
   // are not idempotent — a duplicated request must replay the remembered
   // outcome, never re-run the erase (see handle_fragment_delete).
-  std::map<std::pair<net::NodeId, std::uint64_t>, bool> delete_journal_;
-  std::deque<std::pair<net::NodeId, std::uint64_t>> delete_order_;
+  BoundedJournal<std::pair<net::NodeId, std::uint64_t>, bool> delete_journal_;
   // Gateway: final kAuditResult/kAggregateResult payload by (user, reqid).
   // Query pipelines are not idempotent — a duplicated kAuditQuery re-run
   // later can observe a different store state, and its (different) reply
@@ -479,9 +475,8 @@ class DlaNode : public net::Node {
     MsgType type = kAuditResult;
     net::Bytes payload;
   };
-  std::map<std::pair<net::NodeId, std::uint64_t>, UserReply>
+  BoundedJournal<std::pair<net::NodeId, std::uint64_t>, UserReply>
       user_reply_journal_;
-  std::deque<std::pair<net::NodeId, std::uint64_t>> user_reply_order_;
   std::set<std::pair<net::NodeId, std::uint64_t>> user_queries_in_flight_;
   // Owner: glsns whose fragment was deleted; late kAccumDeposit duplicates
   // for them must not resurrect the accumulator entry.

@@ -21,107 +21,19 @@ namespace {
 // bit-for-bit even on fragments carrying a subset of the attributes.
 enum class Tri : std::uint8_t { False, True, Missing };
 
-// Flat compiled predicate program. Pred leaves carry pre-resolved column
-// pointers, so per-row evaluation does no string hashing, no map lookups
-// and no std::function indirection.
-struct ProgNode {
-  Expr::Kind kind = Expr::Kind::Pred;
-  CmpOp op = CmpOp::Eq;
-  bool rhs_is_attr = false;
-  const logm::FragmentStore::Column* lhs_col = nullptr;
-  const logm::FragmentStore::Column* rhs_col = nullptr;
-  const logm::Value* rhs_const = nullptr;  // points into the source Expr
-  std::uint32_t children_begin = 0;        // into Program::child_idx
-  std::uint32_t children_count = 0;
-};
-
-struct Program {
-  std::vector<ProgNode> nodes;
-  std::vector<std::uint32_t> child_idx;
-  std::uint32_t root = 0;
-
-  Tri eval(std::uint32_t node, std::size_t row) const {
-    const ProgNode& nd = nodes[node];
-    switch (nd.kind) {
-      case Expr::Kind::Pred: {
-        const logm::Value* lhs = nd.lhs_col ? nd.lhs_col->cells[row] : nullptr;
-        if (lhs == nullptr) return Tri::Missing;
-        const logm::Value* rhs =
-            nd.rhs_is_attr ? (nd.rhs_col ? nd.rhs_col->cells[row] : nullptr)
-                           : nd.rhs_const;
-        if (rhs == nullptr) return Tri::Missing;
-        return compare_values(*lhs, nd.op, *rhs) ? Tri::True : Tri::False;
-      }
-      case Expr::Kind::And:
-        for (std::uint32_t i = 0; i < nd.children_count; ++i) {
-          Tri v = eval(child_idx[nd.children_begin + i], row);
-          if (v != Tri::True) return v;
-        }
-        return Tri::True;
-      case Expr::Kind::Or:
-        for (std::uint32_t i = 0; i < nd.children_count; ++i) {
-          Tri v = eval(child_idx[nd.children_begin + i], row);
-          if (v != Tri::False) return v;
-        }
-        return Tri::False;
-      case Expr::Kind::Not: {
-        Tri v = eval(child_idx[nd.children_begin], row);
-        if (v == Tri::Missing) return v;
-        return v == Tri::True ? Tri::False : Tri::True;
-      }
-    }
-    throw std::logic_error("local_query: corrupt program");
-  }
-};
-
-std::uint32_t compile_node(const Expr& expr, const logm::FragmentStore& store,
-                           Program& prog) {
-  ProgNode nd{};
-  nd.kind = expr.kind;
-  if (expr.kind == Expr::Kind::Pred) {
-    nd.op = expr.pred.op;
-    nd.rhs_is_attr = expr.pred.rhs_is_attr;
-    nd.lhs_col = store.column(expr.pred.lhs);
-    if (expr.pred.rhs_is_attr) {
-      nd.rhs_col = store.column(expr.pred.rhs_attr);
-    } else {
-      nd.rhs_const = &expr.pred.rhs_const;
-    }
-  } else {
-    std::vector<std::uint32_t> kids;
-    kids.reserve(expr.children.size());
-    for (const Expr& child : expr.children) {
-      kids.push_back(compile_node(child, store, prog));
-    }
-    nd.children_begin = static_cast<std::uint32_t>(prog.child_idx.size());
-    nd.children_count = static_cast<std::uint32_t>(kids.size());
-    prog.child_idx.insert(prog.child_idx.end(), kids.begin(), kids.end());
-  }
-  prog.nodes.push_back(nd);
-  return static_cast<std::uint32_t>(prog.nodes.size() - 1);
-}
-
-// The Expr must outlive the program: Pred leaves alias its rhs constants.
-Program compile(const Expr& expr, const logm::FragmentStore& store) {
-  Program prog;
-  prog.root = compile_node(expr, store, prog);
-  return prog;
-}
-
-// ---- index access paths ----------------------------------------------------
-
 struct Probe {
   CmpOp op = CmpOp::Eq;
   const logm::Value* value = nullptr;  // points into the source Expr
 };
 
-// One index access path. Either a disjunction of probes over one attribute
-// (equality / OR-fan), or — when `probes` is empty — a bounded range scan:
-// same-attribute range conjuncts (`Time >= a AND Time <= b`, the BETWEEN
-// shape) fuse into a single [lo, hi] slice instead of materializing and
-// intersecting two broad half-open runs.
+// One index access path over one attribute of a column source. Either a
+// disjunction of probes (equality / OR-fan), or — when `probes` is empty — a
+// bounded range scan: same-attribute range conjuncts (`Time >= a AND
+// Time <= b`, the BETWEEN shape) fuse into a single [lo, hi] slice instead
+// of materializing and intersecting two broad half-open runs.
+template <class Attr>
 struct AccessPath {
-  const logm::AttributeIndex* index = nullptr;
+  Attr attr{};
   std::vector<Probe> probes;  // disjunction over one attribute
   const logm::Value* lo = nullptr;
   bool lo_incl = false;
@@ -131,40 +43,320 @@ struct AccessPath {
   std::vector<const Expr*> sources;  // conjuncts folded into this path
 };
 
+// ---- column sources ---------------------------------------------------------
+//
+// The planner below is written once over a column source, a template
+// parameter so the per-row loop compiles to direct cell reads. A source
+// hides only the storage format: attribute lookup (`attr`, a nullable
+// handle), one row's cell (`cell`, falsy when absent), the column stats
+// (`present`, `min_value`, `max_value`, `equal_count`), and turning an
+// equality probe or a [lo, hi] slice into sorted ids (`equal_ids`,
+// `slice_ids`; `row_of` maps an id to its row). `excludes` is the source's
+// own pruning ahead of any probe.
+
+// The memtable: a FragmentStore's columnar mirror. Probe ids are glsns
+// straight from the postings runs; the residual maps them back to rows.
+class StoreSource {
+ public:
+  struct Attr {
+    const logm::FragmentStore::Column* column = nullptr;
+    const logm::AttributeIndex* index = nullptr;
+    explicit operator bool() const { return index != nullptr; }
+    bool operator==(const Attr&) const = default;
+  };
+  using Row = std::size_t;
+  using Id = logm::Glsn;
+
+  explicit StoreSource(const logm::FragmentStore& store) : store_(store) {}
+
+  Attr attr(const std::string& name) const {
+    return Attr{store_.column(name), store_.attr_index(name)};
+  }
+  const logm::Value* cell(Attr a, Row row) const {
+    return a.column ? a.column->cells[row] : nullptr;
+  }
+  std::size_t present(Attr a) const { return a.index->rows(); }
+  const logm::Value* min_value(Attr a) const { return a.index->min_value(); }
+  const logm::Value* max_value(Attr a) const { return a.index->max_value(); }
+  std::size_t equal_count(Attr a, const logm::Value& v) const {
+    const std::vector<logm::Glsn>* run = a.index->equal(v);
+    return run == nullptr ? 0 : run->size();
+  }
+  std::vector<Id> equal_ids(Attr a, const logm::Value& v) const {
+    const std::vector<logm::Glsn>* run = a.index->equal(v);
+    return run == nullptr ? std::vector<Id>{} : *run;
+  }
+  std::vector<Id> slice_ids(Attr a, const logm::Value* lo, bool lo_incl,
+                            const logm::Value* hi, bool hi_incl) const {
+    return a.index->range(lo, lo_incl, hi, hi_incl);
+  }
+  std::size_t rows() const { return store_.row_count(); }
+  logm::Glsn glsn_at(Row row) const { return store_.row_glsns()[row]; }
+  std::optional<Row> row_of(Id id) const { return store_.row_of(id); }
+  std::vector<logm::Glsn> glsns_of(std::vector<Id> ids) const { return ids; }
+  // The memtable prunes nothing ahead of its probes.
+  bool excludes(const Expr&) const { return false; }
+  bool excludes(const AccessPath<Attr>&) const { return false; }
+
+ private:
+  const logm::FragmentStore& store_;
+};
+
+// An immutable mmap'd segment (logm/segment.hpp). Probe ids are row
+// positions pulled from the per-attribute ValueLess order array by binary
+// search; cells decode lazily, only when a predicate reaches them, so no
+// fragment is materialized. Zone maps and absent columns prune the whole
+// segment before any probe.
+class SegmentSource {
+ public:
+  using Attr = const logm::Segment::AttrView*;
+  using Row = std::uint32_t;
+  using Id = std::uint32_t;
+
+  explicit SegmentSource(const logm::Segment& seg) : seg_(seg) {}
+
+  Attr attr(const std::string& name) const { return seg_.attr(name); }
+  std::optional<logm::Value> cell(Attr a, Row row) const {
+    if (a == nullptr) return std::nullopt;
+    const std::optional<std::uint32_t> j = seg_.present_pos(*a, row);
+    if (!j) return std::nullopt;
+    return seg_.cell_value(*a, *j);
+  }
+  std::size_t present(Attr a) const { return a->present; }
+  const logm::Value* min_value(Attr a) const { return &a->min; }
+  const logm::Value* max_value(Attr a) const { return &a->max; }
+  std::size_t equal_count(Attr a, const logm::Value& v) const {
+    const auto [first, last] = span(*a, &v, true, &v, true);
+    return last - first;
+  }
+  std::vector<Id> equal_ids(Attr a, const logm::Value& v) const {
+    return slice_ids(a, &v, true, &v, true);
+  }
+  std::vector<Id> slice_ids(Attr a, const logm::Value* lo, bool lo_incl,
+                            const logm::Value* hi, bool hi_incl) const {
+    const auto [first, last] = span(*a, lo, lo_incl, hi, hi_incl);
+    std::vector<Id> out;
+    for (std::uint32_t k = first; k < last; ++k) {
+      out.push_back(seg_.row_at(*a, seg_.order_at(*a, k)));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  std::size_t rows() const { return seg_.rows(); }
+  logm::Glsn glsn_at(Row row) const { return seg_.glsn_at(row); }
+  std::optional<Row> row_of(Id id) const { return id; }
+  std::vector<logm::Glsn> glsns_of(const std::vector<Id>& ids) const {
+    std::vector<logm::Glsn> out;
+    out.reserve(ids.size());
+    for (Id id : ids) out.push_back(seg_.glsn_at(id));
+    return out;  // ids ascending => glsns ascending
+  }
+
+  // Absent-attribute pruning: an And-level predicate over an attribute the
+  // segment does not carry is Missing on every row, so the whole segment
+  // contributes nothing. Same for an OR-fan whose *first* child references
+  // an absent attribute (the naive Or aborts at the first Missing child).
+  bool excludes(const Expr& conjunct) const {
+    const Expr& lead =
+        conjunct.kind == Expr::Kind::Or && !conjunct.children.empty()
+            ? conjunct.children.front()
+            : conjunct;
+    if (lead.kind != Expr::Kind::Pred) return false;
+    return seg_.attr(lead.pred.lhs) == nullptr ||
+           (lead.pred.rhs_is_attr && seg_.attr(lead.pred.rhs_attr) == nullptr);
+  }
+
+  // Zone-map test: true when the path cannot match anything in the segment.
+  bool excludes(const AccessPath<Attr>& path) const {
+    const logm::ValueLess less;
+    const logm::Segment::AttrView& view = *path.attr;
+    if (path.probes.empty()) {
+      if (path.lo != nullptr) {
+        if (less(view.max, *path.lo)) return true;
+        // lo == max and the bound is strict: nothing above it.
+        if (!path.lo_incl && !less(*path.lo, view.max)) return true;
+      }
+      if (path.hi != nullptr) {
+        if (less(*path.hi, view.min)) return true;
+        if (!path.hi_incl && !less(view.min, *path.hi)) return true;
+      }
+      return false;
+    }
+    for (const Probe& probe : path.probes) {
+      // An ordered probe inside an OR-fan is conservatively non-empty.
+      if (probe.op != CmpOp::Eq) return false;
+      if (!less(*probe.value, view.min) && !less(view.max, *probe.value)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  // Order-array positions [first, last) whose cells lie in the interval,
+  // by binary search; first >= last when it is empty.
+  std::pair<std::uint32_t, std::uint32_t> span(
+      const logm::Segment::AttrView& a, const logm::Value* lo, bool lo_incl,
+      const logm::Value* hi, bool hi_incl) const {
+    return {lo == nullptr ? 0 : bound(a, *lo, !lo_incl),
+            hi == nullptr ? a.present : bound(a, *hi, hi_incl)};
+  }
+
+  // First order-array position whose cell is ValueLess-above v (upper) or
+  // not ValueLess-below it (!upper).
+  std::uint32_t bound(const logm::Segment::AttrView& a, const logm::Value& v,
+                      bool upper) const {
+    const logm::ValueLess less;
+    std::uint32_t lo = 0, hi = a.present;
+    while (lo < hi) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      const logm::Value cell = seg_.cell_value(a, seg_.order_at(a, mid));
+      if (upper ? !less(v, cell) : less(cell, v)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  const logm::Segment& seg_;
+};
+
+// ---- compiled predicate program ---------------------------------------------
+
+// Flat compiled predicate program. Pred leaves carry pre-resolved column
+// handles, so per-row evaluation does no string hashing, no map lookups and
+// no std::function indirection. The Exprs must outlive the program: Pred
+// leaves alias their rhs constants.
+template <class Source>
+class Program {
+ public:
+  using Row = typename Source::Row;
+
+  // Compiles the conjunction of `conjuncts` (in order).
+  Program(const Source& src, const std::vector<const Expr*>& conjuncts)
+      : src_(src) {
+    root_ = conjuncts.size() == 1 ? compile(*conjuncts.front())
+                                  : compile_parent(Expr::Kind::And, conjuncts);
+  }
+
+  bool matches(Row row) const { return eval(root_, row) == Tri::True; }
+
+ private:
+  struct Node {
+    Expr::Kind kind = Expr::Kind::Pred;
+    CmpOp op = CmpOp::Eq;
+    typename Source::Attr lhs{};
+    typename Source::Attr rhs{};
+    const logm::Value* rhs_const = nullptr;  // null: rhs is an attribute
+    std::uint32_t children_begin = 0;  // into child_idx_
+    std::uint32_t children_count = 0;
+  };
+
+  std::uint32_t compile(const Expr& expr) {
+    if (expr.kind != Expr::Kind::Pred) {
+      std::vector<const Expr*> kids;
+      kids.reserve(expr.children.size());
+      for (const Expr& child : expr.children) kids.push_back(&child);
+      return compile_parent(expr.kind, kids);
+    }
+    Node nd{};
+    nd.op = expr.pred.op;
+    nd.lhs = src_.attr(expr.pred.lhs);
+    if (expr.pred.rhs_is_attr) {
+      nd.rhs = src_.attr(expr.pred.rhs_attr);
+    } else {
+      nd.rhs_const = &expr.pred.rhs_const;
+    }
+    nodes_.push_back(nd);
+    return static_cast<std::uint32_t>(nodes_.size() - 1);
+  }
+
+  std::uint32_t compile_parent(Expr::Kind kind,
+                               const std::vector<const Expr*>& children) {
+    std::vector<std::uint32_t> kids;
+    kids.reserve(children.size());
+    for (const Expr* child : children) kids.push_back(compile(*child));
+    Node nd{};
+    nd.kind = kind;
+    nd.children_begin = static_cast<std::uint32_t>(child_idx_.size());
+    nd.children_count = static_cast<std::uint32_t>(kids.size());
+    child_idx_.insert(child_idx_.end(), kids.begin(), kids.end());
+    nodes_.push_back(nd);
+    return static_cast<std::uint32_t>(nodes_.size() - 1);
+  }
+
+  Tri eval(std::uint32_t node, Row row) const {
+    const Node& nd = nodes_[node];
+    switch (nd.kind) {
+      case Expr::Kind::Pred: {
+        const auto lhs = src_.cell(nd.lhs, row);
+        if (!lhs) return Tri::Missing;
+        if (nd.rhs_const != nullptr) {
+          return compare_values(*lhs, nd.op, *nd.rhs_const) ? Tri::True
+                                                            : Tri::False;
+        }
+        const auto rhs = src_.cell(nd.rhs, row);
+        if (!rhs) return Tri::Missing;
+        return compare_values(*lhs, nd.op, *rhs) ? Tri::True : Tri::False;
+      }
+      case Expr::Kind::And:
+        for (std::uint32_t i = 0; i < nd.children_count; ++i) {
+          Tri v = eval(child_idx_[nd.children_begin + i], row);
+          if (v != Tri::True) return v;
+        }
+        return Tri::True;
+      case Expr::Kind::Or:
+        for (std::uint32_t i = 0; i < nd.children_count; ++i) {
+          Tri v = eval(child_idx_[nd.children_begin + i], row);
+          if (v != Tri::False) return v;
+        }
+        return Tri::False;
+      case Expr::Kind::Not: {
+        Tri v = eval(child_idx_[nd.children_begin], row);
+        if (v == Tri::Missing) return v;
+        return v == Tri::True ? Tri::False : Tri::True;
+      }
+    }
+    throw std::logic_error("local_query: corrupt program");
+  }
+
+  const Source& src_;
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> child_idx_;
+  std::uint32_t root_ = 0;
+};
+
+// ---- index access paths ------------------------------------------------------
+
 // A probe may use the index only when the index answer provably matches
 // the naive evaluator: constant Eq always; ordered ops only on all-numeric
 // columns with numeric probes, because the naive path *throws*
 // std::invalid_argument on ordered text-vs-numeric comparisons and that
-// throw must propagate identically (so such shapes stay residual). Ne and
-// attribute-vs-attribute predicates are never index probes.
-bool indexable_probe(const logm::AttributeIndex& idx, const Predicate& pred) {
+// throw must propagate identically (so such shapes stay residual). Text
+// sorts above every numeric, so the column max decides "all-numeric". Ne
+// and attribute-vs-attribute predicates are never index probes.
+template <class Source>
+bool indexable_probe(const Source& src, typename Source::Attr a,
+                     const Predicate& pred) {
   if (pred.rhs_is_attr || pred.op == CmpOp::Ne) return false;
   if (pred.op == CmpOp::Eq) return true;
-  const logm::Value* mx = idx.max_value();
+  const logm::Value* mx = src.max_value(a);
   return pred.rhs_const.is_numeric() && (mx == nullptr || mx->is_numeric());
-}
-
-// Estimated matching rows for an equality/OR-fan probe: exact postings
-// sizes (the cheap, precise half of the column stats).
-double estimate_probe(const logm::AttributeIndex& idx, CmpOp op,
-                      const logm::Value& value) {
-  if (op == CmpOp::Eq) {
-    const std::vector<logm::Glsn>* run = idx.equal(value);
-    return run == nullptr ? 0.0 : static_cast<double>(run->size());
-  }
-  return static_cast<double>(idx.rows());  // not used for range paths
 }
 
 // Estimated matching rows for a bounded range: interpolate both bounds
 // between the column's min/max (equi-width assumption).
-double estimate_range(const logm::AttributeIndex& idx, const logm::Value* lo,
-                      const logm::Value* hi, bool lo_incl, bool hi_incl) {
-  if (idx.rows() == 0) return 0.0;
-  const logm::Value* mn = idx.min_value();
-  const logm::Value* mx = idx.max_value();
-  if (!mn->is_numeric() || !mx->is_numeric()) {
-    return static_cast<double>(idx.rows()) / 2.0;
-  }
+template <class Source>
+double estimate_range(const Source& src, typename Source::Attr a,
+                      const logm::Value* lo, const logm::Value* hi,
+                      bool lo_incl, bool hi_incl) {
+  const double rows = static_cast<double>(src.present(a));
+  if (rows == 0.0) return 0.0;
+  const logm::Value* mn = src.min_value(a);
+  const logm::Value* mx = src.max_value(a);
+  if (!mn->is_numeric() || !mx->is_numeric()) return rows / 2.0;
   const double col_lo = mn->as_real();
   const double col_hi = mx->as_real();
   if (col_hi <= col_lo) {  // single distinct value: all in or all out
@@ -173,38 +365,30 @@ double estimate_range(const logm::AttributeIndex& idx, const logm::Value* lo,
                                       *lo);
     if (hi) in = in && compare_values(*mn, hi_incl ? CmpOp::Le : CmpOp::Lt,
                                       *hi);
-    return in ? static_cast<double>(idx.rows()) : 0.0;
+    return in ? rows : 0.0;
   }
   const double width = col_hi - col_lo;
   const double f_lo =
       lo ? std::clamp((lo->as_real() - col_lo) / width, 0.0, 1.0) : 0.0;
   const double f_hi =
       hi ? std::clamp((hi->as_real() - col_lo) / width, 0.0, 1.0) : 1.0;
-  return std::max(0.0, f_hi - f_lo) * static_cast<double>(idx.rows());
+  return std::max(0.0, f_hi - f_lo) * rows;
 }
 
 // Tightens a path's bounds with another one-sided range predicate; on an
-// equivalent bound value, the strict comparison wins. Templated so the
-// segment paths below share the exact same fusing semantics.
-template <class Path>
-void tighten_bounds(Path& path, CmpOp op, const logm::Value* value) {
+// equivalent bound value, the strict comparison wins.
+template <class Attr>
+void tighten_bounds(AccessPath<Attr>& path, CmpOp op, const logm::Value* value) {
   const logm::ValueLess less;
-  if (op == CmpOp::Gt || op == CmpOp::Ge) {
-    const bool incl = op == CmpOp::Ge;
-    if (path.lo == nullptr || less(*path.lo, *value)) {
-      path.lo = value;
-      path.lo_incl = incl;
-    } else if (!less(*value, *path.lo) && !incl) {
-      path.lo_incl = false;
-    }
-  } else {
-    const bool incl = op == CmpOp::Le;
-    if (path.hi == nullptr || less(*value, *path.hi)) {
-      path.hi = value;
-      path.hi_incl = incl;
-    } else if (!less(*path.hi, *value) && !incl) {
-      path.hi_incl = false;
-    }
+  const bool lower = op == CmpOp::Gt || op == CmpOp::Ge;
+  const bool incl = op == CmpOp::Ge || op == CmpOp::Le;
+  const logm::Value*& bound = lower ? path.lo : path.hi;
+  bool& bound_incl = lower ? path.lo_incl : path.hi_incl;
+  if (bound == nullptr || (lower ? less(*bound, *value) : less(*value, *bound))) {
+    bound = value;
+    bound_incl = incl;
+  } else if (!incl && !less(*value, *bound) && !less(*bound, *value)) {
+    bound_incl = false;
   }
 }
 
@@ -213,25 +397,28 @@ void tighten_bounds(Path& path, CmpOp op, const logm::Value* value) {
 // IN-lists desugar to). Same-attribute matters for equivalence: the naive
 // OR aborts the whole row when an earlier child hits a missing attribute,
 // so a union across different attributes could admit rows the scan rejects.
-std::optional<AccessPath> make_access_path(const Expr& conjunct,
-                                           const logm::FragmentStore& store) {
+// Estimates are exact for equality (the run size) and interpolated for
+// ranges.
+template <class Source>
+std::optional<AccessPath<typename Source::Attr>> make_access_path(
+    const Source& src, const Expr& conjunct) {
+  AccessPath<typename Source::Attr> path;
+  path.sources.push_back(&conjunct);
   if (conjunct.kind == Expr::Kind::Pred) {
-    const logm::AttributeIndex* idx = store.attr_index(conjunct.pred.lhs);
-    if (idx == nullptr || !indexable_probe(*idx, conjunct.pred)) {
+    path.attr = src.attr(conjunct.pred.lhs);
+    if (!path.attr || !indexable_probe(src, path.attr, conjunct.pred)) {
       return std::nullopt;
     }
-    AccessPath path;
-    path.index = idx;
-    path.sources.push_back(&conjunct);
     if (conjunct.pred.op == CmpOp::Eq) {
       path.probes.push_back(Probe{CmpOp::Eq, &conjunct.pred.rhs_const});
-      path.estimate = estimate_probe(*idx, CmpOp::Eq, conjunct.pred.rhs_const);
+      path.estimate = static_cast<double>(
+          src.equal_count(path.attr, conjunct.pred.rhs_const));
     } else {
       // Ordered predicates become range paths so same-attribute conjuncts
       // can fuse into one bounded slice before execution.
       tighten_bounds(path, conjunct.pred.op, &conjunct.pred.rhs_const);
-      path.estimate = estimate_range(*idx, path.lo, path.hi, path.lo_incl,
-                                     path.hi_incl);
+      path.estimate = estimate_range(src, path.attr, path.lo, path.hi,
+                                     path.lo_incl, path.hi_incl);
     }
     return path;
   }
@@ -240,493 +427,160 @@ std::optional<AccessPath> make_access_path(const Expr& conjunct,
   }
   const Expr& first = conjunct.children.front();
   if (first.kind != Expr::Kind::Pred) return std::nullopt;
-  const logm::AttributeIndex* idx = store.attr_index(first.pred.lhs);
-  if (idx == nullptr) return std::nullopt;
-  AccessPath path;
-  path.index = idx;
-  path.sources.push_back(&conjunct);
+  path.attr = src.attr(first.pred.lhs);
+  if (!path.attr) return std::nullopt;
   for (const Expr& child : conjunct.children) {
     if (child.kind != Expr::Kind::Pred || child.pred.lhs != first.pred.lhs ||
-        !indexable_probe(*idx, child.pred)) {
+        !indexable_probe(src, path.attr, child.pred)) {
       return std::nullopt;
     }
     path.probes.push_back(Probe{child.pred.op, &child.pred.rhs_const});
-    path.estimate += estimate_probe(*idx, child.pred.op, child.pred.rhs_const);
+    path.estimate += static_cast<double>(
+        child.pred.op == CmpOp::Eq
+            ? src.equal_count(path.attr, child.pred.rhs_const)
+            : src.present(path.attr));
   }
   path.estimate =
-      std::min(path.estimate, static_cast<double>(idx->rows()));
+      std::min(path.estimate, static_cast<double>(src.present(path.attr)));
   return path;
 }
 
-std::vector<logm::Glsn> run_for_probe(const logm::AttributeIndex& idx,
-                                      const Probe& probe) {
-  switch (probe.op) {
-    case CmpOp::Eq: {
-      const std::vector<logm::Glsn>* run = idx.equal(*probe.value);
-      return run == nullptr ? std::vector<logm::Glsn>{} : *run;
-    }
-    case CmpOp::Lt:
-      return idx.range(nullptr, false, probe.value, false);
-    case CmpOp::Le:
-      return idx.range(nullptr, false, probe.value, true);
-    case CmpOp::Gt:
-      return idx.range(probe.value, false, nullptr, false);
-    case CmpOp::Ge:
-      return idx.range(probe.value, true, nullptr, false);
-    default:
-      return {};
-  }
-}
-
-std::vector<logm::Glsn> execute_path(const AccessPath& path) {
+template <class Source>
+std::vector<typename Source::Id> execute_path(
+    const Source& src, const AccessPath<typename Source::Attr>& path) {
   if (path.probes.empty()) {
-    return path.index->range(path.lo, path.lo_incl, path.hi, path.hi_incl);
+    return src.slice_ids(path.attr, path.lo, path.lo_incl, path.hi,
+                         path.hi_incl);
   }
-  std::vector<logm::Glsn> out = run_for_probe(*path.index, path.probes[0]);
+  auto run_for = [&](const Probe& probe) {
+    if (probe.op == CmpOp::Eq) return src.equal_ids(path.attr, *probe.value);
+    const bool lower = probe.op == CmpOp::Gt || probe.op == CmpOp::Ge;
+    return src.slice_ids(path.attr, lower ? probe.value : nullptr,
+                         probe.op == CmpOp::Ge, lower ? nullptr : probe.value,
+                         probe.op == CmpOp::Le);
+  };
+  std::vector<typename Source::Id> out = run_for(path.probes[0]);
   for (std::size_t i = 1; i < path.probes.size(); ++i) {
-    out = logm::union_sorted(out, run_for_probe(*path.index, path.probes[i]));
+    out = logm::union_sorted(out, run_for(path.probes[i]));
   }
   return out;
 }
 
-// Merges range paths over the same index into one bounded [lo, hi] slice —
-// `Time >= a AND Time <= b` executes as a single postings-map walk instead
-// of two broad half-open runs intersected afterwards.
-void fuse_range_paths(std::vector<AccessPath>& paths) {
-  std::vector<AccessPath> fused;
-  fused.reserve(paths.size());
-  for (AccessPath& path : paths) {
-    AccessPath* host = nullptr;
-    if (path.probes.empty()) {
-      for (AccessPath& f : fused) {
-        if (f.probes.empty() && f.index == path.index) {
-          host = &f;
-          break;
-        }
-      }
-    }
-    if (host == nullptr) {
-      fused.push_back(std::move(path));
-      continue;
-    }
-    if (path.lo != nullptr) {
-      tighten_bounds(*host, path.lo_incl ? CmpOp::Ge : CmpOp::Gt, path.lo);
-    }
-    if (path.hi != nullptr) {
-      tighten_bounds(*host, path.hi_incl ? CmpOp::Le : CmpOp::Lt, path.hi);
-    }
-    host->sources.insert(host->sources.end(), path.sources.begin(),
-                         path.sources.end());
-    host->estimate = estimate_range(*host->index, host->lo, host->hi,
-                                    host->lo_incl, host->hi_incl);
-  }
-  paths = std::move(fused);
-}
+// ---- the planner -------------------------------------------------------------
 
-// ---- segment evaluation ----------------------------------------------------
-//
-// The same planner semantics, replayed against an immutable mmap'd segment
-// (logm/segment.hpp): zone maps prune whole segments, the per-attribute
-// ValueLess order array answers equality/range probes by binary search, and
-// a compiled program evaluates residual rows with per-cell lazy decode — no
-// fragment is materialized. Indexability rules mirror indexable_probe
-// exactly so segment results stay bit-identical to the scan.
-
-// Lazily-decoding compiled program: the segment twin of Program above. Pred
-// leaves hold attribute directory entries instead of mirror columns; a cell
-// decodes only when its predicate is actually reached for a row.
-struct SegProgNode {
-  Expr::Kind kind = Expr::Kind::Pred;
-  CmpOp op = CmpOp::Eq;
-  bool rhs_is_attr = false;
-  const logm::Segment::AttrView* lhs_attr = nullptr;
-  const logm::Segment::AttrView* rhs_attr = nullptr;
-  const logm::Value* rhs_const = nullptr;
-  std::uint32_t children_begin = 0;
-  std::uint32_t children_count = 0;
+// What one plan did; each caller books it into its own counters.
+struct PlanStats {
+  std::size_t probes = 0;           // access paths executed
+  std::size_t rows_evaluated = 0;   // rows the compiled program ran on
+  std::size_t short_circuited = 0;  // conjuncts skipped on an empty run
+  bool full_scan = false;           // no conjunct was index-shaped
+  bool pruned = false;              // the source excluded every row
 };
 
-struct SegProgram {
-  const logm::Segment* seg = nullptr;
-  std::vector<SegProgNode> nodes;
-  std::vector<std::uint32_t> child_idx;
-  std::uint32_t root = 0;
-
-  Tri eval(std::uint32_t node, std::uint32_t row) const {
-    const SegProgNode& nd = nodes[node];
-    switch (nd.kind) {
-      case Expr::Kind::Pred: {
-        if (nd.lhs_attr == nullptr) return Tri::Missing;
-        const std::optional<std::uint32_t> lj = seg->present_pos(*nd.lhs_attr, row);
-        if (!lj) return Tri::Missing;
-        if (nd.rhs_is_attr) {
-          if (nd.rhs_attr == nullptr) return Tri::Missing;
-          const std::optional<std::uint32_t> rj =
-              seg->present_pos(*nd.rhs_attr, row);
-          if (!rj) return Tri::Missing;
-          return compare_values(seg->cell_value(*nd.lhs_attr, *lj), nd.op,
-                                seg->cell_value(*nd.rhs_attr, *rj))
-                     ? Tri::True
-                     : Tri::False;
-        }
-        return compare_values(seg->cell_value(*nd.lhs_attr, *lj), nd.op,
-                              *nd.rhs_const)
-                   ? Tri::True
-                   : Tri::False;
-      }
-      case Expr::Kind::And:
-        for (std::uint32_t i = 0; i < nd.children_count; ++i) {
-          Tri v = eval(child_idx[nd.children_begin + i], row);
-          if (v != Tri::True) return v;
-        }
-        return Tri::True;
-      case Expr::Kind::Or:
-        for (std::uint32_t i = 0; i < nd.children_count; ++i) {
-          Tri v = eval(child_idx[nd.children_begin + i], row);
-          if (v != Tri::False) return v;
-        }
-        return Tri::False;
-      case Expr::Kind::Not: {
-        Tri v = eval(child_idx[nd.children_begin], row);
-        if (v == Tri::Missing) return v;
-        return v == Tri::True ? Tri::False : Tri::True;
-      }
-    }
-    throw std::logic_error("local_query: corrupt segment program");
-  }
-};
-
-std::uint32_t compile_seg_node(const Expr& expr, const logm::Segment& seg,
-                               SegProgram& prog) {
-  SegProgNode nd{};
-  nd.kind = expr.kind;
-  if (expr.kind == Expr::Kind::Pred) {
-    nd.op = expr.pred.op;
-    nd.rhs_is_attr = expr.pred.rhs_is_attr;
-    nd.lhs_attr = seg.attr(expr.pred.lhs);
-    if (expr.pred.rhs_is_attr) {
-      nd.rhs_attr = seg.attr(expr.pred.rhs_attr);
-    } else {
-      nd.rhs_const = &expr.pred.rhs_const;
-    }
-  } else {
-    std::vector<std::uint32_t> kids;
-    kids.reserve(expr.children.size());
-    for (const Expr& child : expr.children) {
-      kids.push_back(compile_seg_node(child, seg, prog));
-    }
-    nd.children_begin = static_cast<std::uint32_t>(prog.child_idx.size());
-    nd.children_count = static_cast<std::uint32_t>(kids.size());
-    prog.child_idx.insert(prog.child_idx.end(), kids.begin(), kids.end());
-  }
-  prog.nodes.push_back(nd);
-  return static_cast<std::uint32_t>(prog.nodes.size() - 1);
-}
-
-SegProgram compile_segment(const Expr& expr, const logm::Segment& seg) {
-  SegProgram prog;
-  prog.seg = &seg;
-  prog.root = compile_seg_node(expr, seg, prog);
-  return prog;
-}
-
-// First order-array position whose cell is not ValueLess-below v.
-std::uint32_t seg_lower_bound(const logm::Segment& seg,
-                              const logm::Segment::AttrView& view,
-                              const logm::Value& v) {
-  const logm::ValueLess less;
-  std::uint32_t lo = 0, hi = view.present;
-  while (lo < hi) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (less(seg.cell_value(view, seg.order_at(view, mid)), v)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-// First order-array position whose cell is ValueLess-above v.
-std::uint32_t seg_upper_bound(const logm::Segment& seg,
-                              const logm::Segment::AttrView& view,
-                              const logm::Value& v) {
-  const logm::ValueLess less;
-  std::uint32_t lo = 0, hi = view.present;
-  while (lo < hi) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (less(v, seg.cell_value(view, seg.order_at(view, mid)))) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
-// The segment analog of indexable_probe: same rules, with the zone-map max
-// standing in for AttributeIndex::max_value (both are the ValueLess maximum
-// of the column, so text-in-column disables ordered probes identically).
-bool seg_indexable_probe(const logm::Segment::AttrView& view,
-                         const Predicate& pred) {
-  if (pred.rhs_is_attr || pred.op == CmpOp::Ne) return false;
-  if (pred.op == CmpOp::Eq) return true;
-  return pred.rhs_const.is_numeric() && view.max.is_numeric();
-}
-
-// One segment access path: Eq/OR-fan probes or a fused range over one
-// attribute's order array.
-struct SegPath {
-  const logm::Segment::AttrView* view = nullptr;
-  std::vector<Probe> probes;  // empty => range path
-  const logm::Value* lo = nullptr;
-  bool lo_incl = false;
-  const logm::Value* hi = nullptr;
-  bool hi_incl = false;
-  double estimate = 0.0;
-};
-
-double seg_estimate_range(const logm::Segment::AttrView& view,
-                          const logm::Value* lo, const logm::Value* hi) {
-  if (!view.min.is_numeric() || !view.max.is_numeric()) {
-    return static_cast<double>(view.present) / 2.0;
-  }
-  const double col_lo = view.min.as_real();
-  const double col_hi = view.max.as_real();
-  if (col_hi <= col_lo) return static_cast<double>(view.present);
-  const double width = col_hi - col_lo;
-  const double f_lo =
-      lo ? std::clamp((lo->as_real() - col_lo) / width, 0.0, 1.0) : 0.0;
-  const double f_hi =
-      hi ? std::clamp((hi->as_real() - col_lo) / width, 0.0, 1.0) : 1.0;
-  return std::max(0.0, f_hi - f_lo) * static_cast<double>(view.present);
-}
-
-// Builds a segment access path for an And-level conjunct, mirroring
-// make_access_path. Returns nullopt when the conjunct is not index-shaped
-// (it stays part of the residual program).
-std::optional<SegPath> make_seg_path(const Expr& conjunct,
-                                     const logm::Segment& seg) {
-  if (conjunct.kind == Expr::Kind::Pred) {
-    const logm::Segment::AttrView* view = seg.attr(conjunct.pred.lhs);
-    if (view == nullptr || !seg_indexable_probe(*view, conjunct.pred)) {
-      return std::nullopt;
-    }
-    SegPath path;
-    path.view = view;
-    if (conjunct.pred.op == CmpOp::Eq) {
-      path.probes.push_back(Probe{CmpOp::Eq, &conjunct.pred.rhs_const});
-      path.estimate = 1.0;  // refined at execution; Eq runs are narrow
-    } else {
-      tighten_bounds(path, conjunct.pred.op, &conjunct.pred.rhs_const);
-      path.estimate = seg_estimate_range(*view, path.lo, path.hi);
-    }
-    return path;
-  }
-  if (conjunct.kind != Expr::Kind::Or || conjunct.children.empty()) {
-    return std::nullopt;
-  }
-  const Expr& first = conjunct.children.front();
-  if (first.kind != Expr::Kind::Pred) return std::nullopt;
-  const logm::Segment::AttrView* view = seg.attr(first.pred.lhs);
-  if (view == nullptr) return std::nullopt;
-  SegPath path;
-  path.view = view;
-  for (const Expr& child : conjunct.children) {
-    if (child.kind != Expr::Kind::Pred || child.pred.lhs != first.pred.lhs ||
-        !seg_indexable_probe(*view, child.pred)) {
-      return std::nullopt;
-    }
-    path.probes.push_back(Probe{child.pred.op, &child.pred.rhs_const});
-    path.estimate += 1.0;
-  }
-  return path;
-}
-
-// Zone-map test: can this path possibly match anything in the segment?
-bool seg_path_maybe_nonempty(const SegPath& path) {
-  const logm::ValueLess less;
-  const logm::Segment::AttrView& view = *path.view;
-  if (path.probes.empty()) {
-    if (path.lo != nullptr) {
-      if (less(view.max, *path.lo)) return false;
-      if (!path.lo_incl && !less(*path.lo, view.max) &&
-          !less(view.max, *path.lo)) {
-        // lo == max and the bound is strict: nothing above it.
-        return false;
-      }
-    }
-    if (path.hi != nullptr) {
-      if (less(*path.hi, view.min)) return false;
-      if (!path.hi_incl && !less(view.min, *path.hi) &&
-          !less(*path.hi, view.min)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  for (const Probe& probe : path.probes) {
-    if (probe.op == CmpOp::Eq) {
-      if (!less(*probe.value, view.min) && !less(view.max, *probe.value)) {
-        return true;
-      }
-      continue;
-    }
-    // Ordered probe inside an OR-fan: conservatively assume nonempty.
-    return true;
-  }
-  return false;
-}
-
-// Sorted candidate row positions for a path (union over probes or the
-// fused range slice), pulled from the order array by binary search.
-std::vector<std::uint32_t> execute_seg_path(const logm::Segment& seg,
-                                            const SegPath& path) {
-  const logm::Segment::AttrView& view = *path.view;
-  auto slice_rows = [&](std::uint32_t first, std::uint32_t last,
-                        std::vector<std::uint32_t>& out) {
-    for (std::uint32_t k = first; k < last; ++k) {
-      out.push_back(seg.row_at(view, seg.order_at(view, k)));
-    }
+// Evaluates the normalized expression (and its top-level conjuncts) against
+// one source, returning matching glsns ascending:
+//   1. index-shaped conjuncts become access paths, the rest are residual;
+//      same-attribute ranges fuse into one slice; with no path, the
+//      compiled program scans every row;
+//   2. the source may exclude itself whole on a conjunct or path;
+//   3. paths run most selective first, their id runs intersected; a path
+//      whose estimate exceeds 4x the running result is demoted to residual,
+//      and an empty running result stops the plan;
+//   4. the residual conjuncts, compiled once, probe the surviving rows.
+template <class Source>
+std::vector<logm::Glsn> run_plan(const Source& src, const Expr& normalized,
+                                 const std::vector<Expr>& conjuncts,
+                                 PlanStats& stats) {
+  const auto pruned = [&stats] {
+    stats.pruned = true;
+    return std::vector<logm::Glsn>{};
   };
-  std::vector<std::uint32_t> rows;
-  if (path.probes.empty()) {
-    const std::uint32_t first =
-        path.lo == nullptr
-            ? 0
-            : (path.lo_incl ? seg_lower_bound(seg, view, *path.lo)
-                            : seg_upper_bound(seg, view, *path.lo));
-    const std::uint32_t last =
-        path.hi == nullptr
-            ? view.present
-            : (path.hi_incl ? seg_upper_bound(seg, view, *path.hi)
-                            : seg_lower_bound(seg, view, *path.hi));
-    if (first < last) slice_rows(first, last, rows);
-  } else {
-    for (const Probe& probe : path.probes) {
-      switch (probe.op) {
-        case CmpOp::Eq:
-          slice_rows(seg_lower_bound(seg, view, *probe.value),
-                     seg_upper_bound(seg, view, *probe.value), rows);
-          break;
-        case CmpOp::Lt:
-          slice_rows(0, seg_lower_bound(seg, view, *probe.value), rows);
-          break;
-        case CmpOp::Le:
-          slice_rows(0, seg_upper_bound(seg, view, *probe.value), rows);
-          break;
-        case CmpOp::Gt:
-          slice_rows(seg_upper_bound(seg, view, *probe.value), view.present,
-                     rows);
-          break;
-        case CmpOp::Ge:
-          slice_rows(seg_lower_bound(seg, view, *probe.value), view.present,
-                     rows);
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  return rows;
-}
-
-// Evaluates the normalized expression against one segment, returning
-// matching glsns ascending (before visibility shadowing).
-std::vector<logm::Glsn> eval_segment(const Expr& normalized,
-                                     const std::vector<Expr>& conjuncts,
-                                     const logm::Segment& seg) {
-  logm::StorageStats& st = logm::storage_stats_mut();
-
-  // Absent-attribute pruning: an And-level predicate over an attribute the
-  // segment does not carry is Missing on every row, so the whole segment
-  // contributes nothing. Same for an OR-fan whose *first* child references
-  // an absent attribute (the naive Or aborts at the first Missing child).
+  std::vector<AccessPath<typename Source::Attr>> paths;
+  std::vector<const Expr*> residual;
   for (const Expr& conjunct : conjuncts) {
-    const Expr* pred = nullptr;
-    if (conjunct.kind == Expr::Kind::Pred) {
-      pred = &conjunct;
-    } else if (conjunct.kind == Expr::Kind::Or && !conjunct.children.empty() &&
-               conjunct.children.front().kind == Expr::Kind::Pred) {
-      pred = &conjunct.children.front();
+    auto path = make_access_path(src, conjunct);
+    if (src.excludes(conjunct) || (path && src.excludes(*path))) {
+      return pruned();
     }
-    if (pred == nullptr) continue;
-    if (seg.attr(pred->pred.lhs) == nullptr ||
-        (pred->pred.rhs_is_attr &&
-         seg.attr(pred->pred.rhs_attr) == nullptr)) {
-      ++st.zone_map_skips;
-      return {};
-    }
-  }
-
-  // Access paths + zone maps.
-  std::vector<SegPath> paths;
-  for (const Expr& conjunct : conjuncts) {
-    if (std::optional<SegPath> path = make_seg_path(conjunct, seg)) {
-      if (!seg_path_maybe_nonempty(*path)) {
-        ++st.zone_map_skips;
-        return {};
-      }
-      paths.push_back(std::move(*path));
-    }
-  }
-  // Fuse same-attribute range paths into one bounded slice.
-  std::vector<SegPath> fused;
-  for (SegPath& path : paths) {
-    SegPath* host = nullptr;
-    if (path.probes.empty()) {
-      for (SegPath& f : fused) {
-        if (f.probes.empty() && f.view == path.view) {
-          host = &f;
-          break;
-        }
-      }
-    }
-    if (host == nullptr) {
-      fused.push_back(std::move(path));
+    if (!path) {
+      residual.push_back(&conjunct);
       continue;
     }
-    if (path.lo != nullptr) {
-      tighten_bounds(*host, path.lo_incl ? CmpOp::Ge : CmpOp::Gt, path.lo);
+    const auto host =
+        path->probes.empty()
+            ? std::find_if(paths.begin(), paths.end(),
+                           [&](const auto& p) {
+                             return p.probes.empty() && p.attr == path->attr;
+                           })
+            : paths.end();
+    if (host == paths.end()) {
+      paths.push_back(std::move(*path));
+      continue;
     }
-    if (path.hi != nullptr) {
-      tighten_bounds(*host, path.hi_incl ? CmpOp::Le : CmpOp::Lt, path.hi);
+    // A further range on the same attribute tightens that path instead:
+    // `Time >= a AND Time <= b` (the BETWEEN shape) runs as one [lo, hi]
+    // slice, not two broad half-open runs intersected afterwards.
+    tighten_bounds(*host, conjunct.pred.op, &conjunct.pred.rhs_const);
+    host->sources.push_back(&conjunct);
+    host->estimate = estimate_range(src, host->attr, host->lo, host->hi,
+                                    host->lo_incl, host->hi_incl);
+    if (src.excludes(*host)) return pruned();
+  }
+
+  if (paths.empty()) {
+    // No index applies: tight full scan over the columns.
+    stats.full_scan = true;
+    const Program<Source> prog(src, {&normalized});
+    const std::size_t rows = src.rows();
+    stats.rows_evaluated += rows;
+    std::vector<logm::Glsn> out;
+    for (typename Source::Row r = 0; r < rows; ++r) {
+      if (prog.matches(r)) out.push_back(src.glsn_at(r));
     }
-    host->estimate = seg_estimate_range(*host->view, host->lo, host->hi);
-    if (!seg_path_maybe_nonempty(*host)) {
-      ++st.zone_map_skips;
+    return out;
+  }
+
+  // Most selective first; ties keep conjunct order.
+  std::stable_sort(paths.begin(), paths.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.estimate < b.estimate;
+                   });
+
+  std::vector<typename Source::Id> current;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (i > 0 && static_cast<double>(current.size()) * 4.0 <
+                     paths[i].estimate) {
+      // The running intersection is already far smaller than this path's
+      // run would be: probing the survivors row-by-row beats materializing
+      // and intersecting the big run. Demote the path to a residual.
+      residual.insert(residual.end(), paths[i].sources.begin(),
+                      paths[i].sources.end());
+      continue;
+    }
+    auto run = execute_path(src, paths[i]);
+    ++stats.probes;
+    current = i == 0 ? std::move(run) : logm::intersect_sorted(current, run);
+    if (current.empty()) {
+      stats.short_circuited += residual.size();
+      for (std::size_t j = i + 1; j < paths.size(); ++j) {
+        stats.short_circuited += paths[j].sources.size();
+      }
       return {};
     }
   }
+  if (residual.empty()) return src.glsns_of(std::move(current));
 
-  // Candidate rows: the most selective path's run, or every row when no
-  // conjunct is index-shaped. The full program re-checks every conjunct, so
-  // probing with one path keeps results exact.
-  std::vector<std::uint32_t> candidates;
-  if (!fused.empty()) {
-    std::stable_sort(fused.begin(), fused.end(),
-                     [](const SegPath& a, const SegPath& b) {
-                       return a.estimate < b.estimate;
-                     });
-    candidates = execute_seg_path(seg, fused.front());
-    ++st.segment_probe_hits;
-    if (candidates.empty()) return {};
-  } else {
-    candidates.resize(seg.rows());
-    for (std::uint32_t r = 0; r < candidates.size(); ++r) candidates[r] = r;
-  }
-
-  const SegProgram prog = compile_segment(normalized, seg);
-  st.segment_rows_decoded += candidates.size();
+  // Compile the residual conjuncts once and probe only the rows that
+  // survived the index intersection.
+  const Program<Source> prog(src, residual);
+  stats.rows_evaluated += current.size();
   std::vector<logm::Glsn> out;
-  for (std::uint32_t row : candidates) {
-    if (prog.eval(prog.root, row) == Tri::True) {
-      out.push_back(seg.glsn_at(row));
-    }
+  out.reserve(current.size());
+  for (typename Source::Id id : current) {
+    const std::optional<typename Source::Row> row = src.row_of(id);
+    if (row && prog.matches(*row)) out.push_back(src.glsn_at(*row));
   }
-  return out;  // candidate rows ascending => glsns ascending
+  return out;
 }
 
 }  // namespace
@@ -752,82 +606,14 @@ std::vector<logm::Glsn> eval_local_indexed(const Expr& expr,
     ++ctr.planner_fallbacks;
     return eval_local_scan(expr, store);
   }
-
   const Expr normalized = push_negations(expr);
-  const std::vector<Expr> conjuncts = to_conjunctive(normalized);
-
-  std::vector<AccessPath> paths;
-  std::vector<const Expr*> residual;
-  for (const Expr& conjunct : conjuncts) {
-    if (std::optional<AccessPath> path = make_access_path(conjunct, store)) {
-      paths.push_back(std::move(*path));
-    } else {
-      residual.push_back(&conjunct);
-    }
-  }
-
-  if (paths.empty()) {
-    // No index applies: tight full scan over the columnar mirror.
-    ++ctr.planner_fallbacks;
-    const Program prog = compile(normalized, store);
-    const std::vector<logm::Glsn>& rows = store.row_glsns();
-    ctr.rows_scanned += rows.size();
-    std::vector<logm::Glsn> out;
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      if (prog.eval(prog.root, r) == Tri::True) out.push_back(rows[r]);
-    }
-    return out;
-  }
-
-  fuse_range_paths(paths);
-
-  // Most selective first; ties keep conjunct order.
-  std::stable_sort(paths.begin(), paths.end(),
-                   [](const AccessPath& a, const AccessPath& b) {
-                     return a.estimate < b.estimate;
-                   });
-
-  std::vector<logm::Glsn> current;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (i > 0 && static_cast<double>(current.size()) * 4.0 <
-                     paths[i].estimate) {
-      // The running intersection is already far smaller than this path's
-      // run would be: probing the survivors row-by-row beats materializing
-      // and intersecting the big run. Demote the path to a residual.
-      residual.insert(residual.end(), paths[i].sources.begin(),
-                      paths[i].sources.end());
-      continue;
-    }
-    std::vector<logm::Glsn> run = execute_path(paths[i]);
-    ++ctr.index_hits;
-    current = i == 0 ? std::move(run) : logm::intersect_sorted(current, run);
-    if (current.empty()) {
-      std::size_t skipped = residual.size();
-      for (std::size_t j = i + 1; j < paths.size(); ++j) {
-        skipped += paths[j].sources.size();
-      }
-      ctr.conjuncts_short_circuited += skipped;
-      return current;
-    }
-  }
-  if (residual.empty()) return current;
-
-  // Compile the residual conjuncts once (original conjunct order) and probe
-  // only the rows that survived the index intersection.
-  std::vector<Expr> residual_children;
-  residual_children.reserve(residual.size());
-  for (const Expr* conjunct : residual) residual_children.push_back(*conjunct);
-  const Expr residual_and = residual.size() == 1
-                                ? residual_children.front()
-                                : Expr::make_and(std::move(residual_children));
-  const Program prog = compile(residual_and, store);
-  ctr.rows_scanned += current.size();
-  std::vector<logm::Glsn> out;
-  out.reserve(current.size());
-  for (logm::Glsn glsn : current) {
-    const std::optional<std::size_t> row = store.row_of(glsn);
-    if (row && prog.eval(prog.root, *row) == Tri::True) out.push_back(glsn);
-  }
+  PlanStats stats;
+  std::vector<logm::Glsn> out = run_plan(
+      StoreSource(store), normalized, to_conjunctive(normalized), stats);
+  ctr.index_hits += stats.probes;
+  ctr.rows_scanned += stats.rows_evaluated;
+  ctr.conjuncts_short_circuited += stats.short_circuited;
+  if (stats.full_scan) ++ctr.planner_fallbacks;
   return out;
 }
 
@@ -864,10 +650,15 @@ std::vector<logm::Glsn> eval_engine_indexed(const Expr& expr,
   const Expr normalized = push_negations(expr);
   const std::vector<Expr> conjuncts = to_conjunctive(normalized);
   const auto& segs = txn.segments();  // oldest -> newest
+  logm::StorageStats& st = logm::storage_stats_mut();
 
   for (std::size_t i = segs.size(); i-- > 0;) {
-    const logm::Segment& seg = *segs[i];
-    std::vector<logm::Glsn> hits = eval_segment(normalized, conjuncts, seg);
+    PlanStats stats;
+    const std::vector<logm::Glsn> hits =
+        run_plan(SegmentSource(*segs[i]), normalized, conjuncts, stats);
+    st.segment_probe_hits += stats.probes;
+    st.segment_rows_decoded += stats.rows_evaluated;
+    if (stats.pruned) ++st.zone_map_skips;
     for (logm::Glsn g : hits) {
       // Shadow subtraction: a newer source owning this glsn — memtable row,
       // pending tombstone, or any newer segment's row/tombstone — makes the

@@ -28,19 +28,14 @@ void CaNode::on_message(net::Transport& sim, const net::Message& msg) {
   // double count would look like a second credential. Replay the journal.
   const std::pair<net::NodeId, std::uint64_t> journal_key{msg.src, reqid};
   bn::BigUInt blind_sig;
-  if (auto it = token_journal_.find(journal_key); it != token_journal_.end()) {
+  if (const bn::BigUInt* issued = token_journal_.find(journal_key)) {
     ++replay_drops_;
-    blind_sig = it->second;
+    blind_sig = *issued;
   } else {
     // Blind signing: the CA sees only m * r^e mod n, never the pseudonym.
     blind_sig = key_.apply_private(blinded % key_.public_key().n);
     ++tokens_issued_;
-    token_journal_[journal_key] = blind_sig;
-    token_order_.push_back(journal_key);
-    if (token_order_.size() > 4096) {
-      token_journal_.erase(token_order_.front());
-      token_order_.pop_front();
-    }
+    token_journal_.insert(journal_key, blind_sig);
   }
   net::Writer w;
   w.u64(reqid);

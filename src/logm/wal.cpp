@@ -1,7 +1,6 @@
 #include "logm/wal.hpp"
 
 #include <array>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -146,85 +145,5 @@ bool sync_parent_dir(const std::string& path) {
 }
 
 }  // namespace walio
-
-WalFragmentStore::WalFragmentStore(std::string path)
-    : path_(std::move(path)) {
-  replay();
-}
-
-void WalFragmentStore::replay() {
-  walio::ReplayStats stats =
-      walio::replay_frames(path_, [&](std::uint8_t op, net::Reader& r) {
-        if (op == walio::kOpPut) {
-          store_.put(Fragment::decode(r));
-        } else if (op == walio::kOpErase) {
-          store_.erase(r.u64());
-        } else {
-          throw net::CodecError("WalFragmentStore: unknown frame op");
-        }
-      });
-  replayed_ = stats.replayed;
-  corrupt_skipped_ = stats.corrupt_skipped;
-}
-
-void WalFragmentStore::append_frame(std::uint8_t op,
-                                    const net::Bytes& payload) {
-  walio::append_frame(path_, op, payload);
-  // flush() only hands the frame to the page cache; the frame is
-  // acknowledged to callers, so it must reach stable storage.
-  sync_file(path_);
-}
-
-void WalFragmentStore::sync_file(const std::string& path) {
-  if (walio::sync_file(path)) ++sync_calls_;
-}
-
-void WalFragmentStore::sync_parent_dir(const std::string& path) {
-  if (walio::sync_parent_dir(path)) ++dir_sync_calls_;
-}
-
-void WalFragmentStore::put(Fragment fragment) {
-  net::Writer w;
-  fragment.encode(w);
-  append_frame(walio::kOpPut, w.bytes());
-  store_.put(std::move(fragment));
-}
-
-bool WalFragmentStore::erase(Glsn glsn) {
-  if (store_.get(glsn) == nullptr) return false;
-  net::Writer w;
-  w.u64(glsn);
-  append_frame(walio::kOpErase, w.bytes());
-  return store_.erase(glsn);
-}
-
-std::size_t WalFragmentStore::compact() {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  auto before = fs::exists(path_, ec) ? fs::file_size(path_, ec) : 0;
-  std::string tmp = path_ + ".compact";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("WalFragmentStore: cannot open " + tmp);
-  }
-  // Write live fragments into the temporary log via a scratch store.
-  {
-    WalFragmentStore scratch(tmp);
-    store_.for_each([&](const Fragment& frag) { scratch.put(frag); });
-  }
-  // The tmp log must be on stable storage BEFORE the rename publishes it:
-  // rename-then-crash with unsynced data can otherwise leave a truncated
-  // log under the live name, losing acknowledged frames.
-  sync_file(tmp);
-  if (compact_crash_hook_) compact_crash_hook_();
-  fs::rename(tmp, path_, ec);
-  if (ec) throw std::runtime_error("WalFragmentStore: compact rename failed");
-  // Make the rename itself durable: the directory entry swap lives in the
-  // parent directory's data.
-  sync_parent_dir(path_);
-  auto after = fs::file_size(path_, ec);
-  return before > after ? static_cast<std::size_t>(before - after) : 0;
-}
 
 }  // namespace dla::logm

@@ -1,37 +1,32 @@
-// Durable fragment storage: a write-ahead log backing FragmentStore.
+// Write-ahead log frame I/O.
 //
-// The paper assumes each DLA node has persistent "log storage space"; this
-// substrate provides it. Fragments are appended as length-prefixed,
-// CRC32-protected frames (put and erase operations); opening a store
-// replays the log, stopping at the first torn or corrupt frame — so a node
-// recovers exactly its acknowledged state after a crash. compact() rewrites
-// the live set into a fresh log and atomically swaps it in, fsyncing the
-// tmp log before the rename and the parent directory after it — a stream
-// flush alone leaves the data in the page cache, where a power loss can
-// tear an already-acknowledged frame or unlink both log versions.
+// The paper assumes each DLA node has persistent "log storage space". The
+// segment engine's memtable (logm/storage_engine.hpp) provides it, and
+// every mutation reaches its write-ahead log first as a length-prefixed,
+// CRC32-protected frame (put and erase operations). Replay stops at the
+// first torn or corrupt frame, so a node recovers exactly its acknowledged
+// state after a crash.
 //
 // Frame layout: [u32 len][u32 crc32][u8 op][payload]
 //   op 0 = put  (payload: Fragment encoding)
 //   op 1 = erase(payload: u64 glsn)
 //
-// The frame codec and fsync discipline are shared with the segment engine's
-// memtable WAL (logm/storage_engine.hpp) through the `walio` helpers below:
-// both logs must survive the same crash matrix, so they use the same bytes.
+// The `walio` helpers below are the one implementation of that layout and
+// of the fsync discipline around it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 
-#include "logm/store.hpp"
+#include "net/bytes.hpp"
 
 namespace dla::logm {
 
 // CRC32 (IEEE, reflected) — also used by the tests to corrupt frames.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
 
-// Shared WAL frame I/O: the one implementation of the frame layout above,
-// used by WalFragmentStore and by SegmentEngine's memtable log.
+// WAL frame I/O: the one implementation of the frame layout above.
 namespace walio {
 
 constexpr std::uint8_t kOpPut = 0;
@@ -63,55 +58,5 @@ bool sync_file(const std::string& path);
 bool sync_parent_dir(const std::string& path);
 
 }  // namespace walio
-
-class WalFragmentStore {
- public:
-  // Opens (creating if absent) the log at `path` and replays it.
-  explicit WalFragmentStore(std::string path);
-
-  // In-memory view (replayed + subsequent writes).
-  const FragmentStore& store() const { return store_; }
-
-  // Durable operations: appended to the log, then applied in memory.
-  void put(Fragment fragment);
-  bool erase(Glsn glsn);
-
-  // Rewrites the log so it contains only live fragments; returns bytes
-  // reclaimed.
-  std::size_t compact();
-
-  // Number of frames dropped during replay due to corruption/tearing.
-  std::size_t corrupt_frames_skipped() const { return corrupt_skipped_; }
-  std::size_t replayed_frames() const { return replayed_; }
-  const std::string& path() const { return path_; }
-
-  // Durability instrumentation: file fsyncs issued (one per acknowledged
-  // frame plus one for the compacted tmp log) and parent-directory fsyncs
-  // (one per compact, making the rename itself durable). Tests assert on
-  // these; they are best-effort no-ops on platforms without fsync.
-  std::size_t sync_calls() const { return sync_calls_; }
-  std::size_t dir_sync_calls() const { return dir_sync_calls_; }
-
-  // Test hook: invoked after the compacted tmp log is written and synced
-  // but BEFORE the rename swaps it in. Throwing from it simulates a crash
-  // at the most dangerous point of compaction.
-  void set_compact_crash_hook(std::function<void()> hook) {
-    compact_crash_hook_ = std::move(hook);
-  }
-
- private:
-  void append_frame(std::uint8_t op, const net::Bytes& payload);
-  void replay();
-  void sync_file(const std::string& path);
-  void sync_parent_dir(const std::string& path);
-
-  std::string path_;
-  FragmentStore store_;
-  std::size_t corrupt_skipped_ = 0;
-  std::size_t replayed_ = 0;
-  std::size_t sync_calls_ = 0;
-  std::size_t dir_sync_calls_ = 0;
-  std::function<void()> compact_crash_hook_;
-};
 
 }  // namespace dla::logm

@@ -5,11 +5,13 @@
 // must return bit-identical glsn sets to the naive scan (select + evaluate,
 // missing attribute => non-match) on every workload. The differential
 // sweeps randomized generate_workload seeds over full, partitioned and
-// attribute-sparse stores.
+// attribute-sparse stores; a source-agreement table pins the memtable and a
+// sealed segment to the same plan decisions.
 #include "audit/local_query.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -159,6 +161,84 @@ TEST(LocalQuery, OrderedTypeMismatchThrowsLikeScan) {
       Predicate{"id", CmpOp::Lt, false, "", logm::Value(std::int64_t{5})});
   EXPECT_THROW(eval_local_indexed(expr, store), std::invalid_argument);
   EXPECT_THROW(eval_local_scan(expr, store), std::invalid_argument);
+}
+
+// ---- source agreement: memtable vs sealed segment -------------------------
+
+// One planner serves both column sources, so a memtable and a sealed
+// segment holding the same rows must both return the scan oracle's glsns
+// and take the same index-or-residual decision on every conjunct shape. The
+// segment may instead exclude itself whole (absent attribute, zone map)
+// before it plans, which the table states per shape.
+TEST(LocalQuerySources, MemtableAndSegmentAgreeOnEveryShape) {
+  struct Shape {
+    const char* criterion;
+    std::uint64_t probes;  // access paths the memtable executes
+    bool segment_pruned;
+  };
+  const std::vector<Shape> shapes{
+      {"id = 'U2'", 1, false},                    // equality
+      {"id IN ('U1', 'U3')", 1, false},           // OR-fan on one attribute
+      {"id = 'U1' OR Tid = 'T2'", 0, false},      // OR-fan across attributes
+      {"C2 > 600.0", 1, false},                   // ordered, numeric column
+      {"id = 'U1' AND C1 > 5", 1, false},         // ordered, column with text
+      {"id != 'U2'", 0, false},                   // Ne
+      {"Time > C2", 0, false},                    // attribute vs attribute
+      {"C3 = 'bank'", 0, true},                   // absent attribute
+      {"Time BETWEEN 1005 AND 1012", 1, false},   // fuses into one slice
+      {"Time < 1040", 1, false},                  // strict bound = column max
+      {"Time > 1040", 1, true},                   // strict bound = column max
+  };
+
+  // 40 rows; C1 holds text on the U0 rows, C3 is carried by no row.
+  FragmentStore store;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("dla_source_agreement_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  logm::SegmentEngine::Options opts;
+  opts.memtable_max_records = 0;  // one manual seal
+  opts.auto_compact = false;
+  logm::SegmentEngine segment(dir.string(), opts);
+  for (Glsn g = 1; g <= 40; ++g) {
+    logm::Fragment frag{g, {}};
+    frag.attrs["Time"] = logm::Value(static_cast<std::int64_t>(1000 + g));
+    frag.attrs["id"] = logm::Value("U" + std::to_string(g % 4));
+    frag.attrs["Tid"] = logm::Value("T" + std::to_string(g % 5));
+    frag.attrs["C1"] = g % 4 == 0
+                           ? logm::Value("n/a")
+                           : logm::Value(static_cast<std::int64_t>(g % 10));
+    frag.attrs["C2"] = logm::Value(30.0 * static_cast<double>(g));
+    store.put(frag);
+    segment.put(std::move(frag));
+  }
+  ASSERT_EQ(segment.seal(), 40u);
+  ASSERT_EQ(segment.memtable().size(), 0u);
+
+  const logm::Schema schema = logm::paper_schema();
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.criterion);
+    const Expr expr = parse(shape.criterion, schema);
+    const std::vector<Glsn> oracle = eval_local_scan(expr, store);
+
+    reset_query_engine_counters();
+    EXPECT_EQ(eval_local_indexed(expr, store), oracle);
+    const std::uint64_t memtable_probes = query_engine_counters().index_hits;
+    EXPECT_EQ(memtable_probes, shape.probes);
+
+    logm::reset_storage_stats();
+    EXPECT_EQ(eval_engine_indexed(expr, segment), oracle);
+    const logm::StorageStats& st = logm::storage_stats();
+    if (shape.segment_pruned) {
+      EXPECT_EQ(st.zone_map_skips, 1u);
+      EXPECT_EQ(st.segment_probe_hits, 0u);
+      EXPECT_TRUE(oracle.empty());
+    } else {
+      EXPECT_EQ(st.zone_map_skips, 0u);
+      EXPECT_EQ(st.segment_probe_hits, memtable_probes);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---- columnar mirror unit coverage ----------------------------------------

@@ -1,11 +1,14 @@
-// Tests for the durable WAL-backed fragment store: replay, crash recovery
-// semantics (torn/corrupt tails), erase frames, and compaction.
+// Tests for the write-ahead log: the walio frame codec (replay order, torn
+// and corrupt tails, the CRC itself) and the fsync discipline the segment
+// engine keeps around its WAL and manifest.
 #include "logm/wal.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+
+#include "logm/storage_engine.hpp"
 
 namespace dla::logm {
 namespace {
@@ -32,173 +35,159 @@ struct WalFixture : ::testing::Test {
     return f;
   }
 
+  void append_put(const Fragment& f) {
+    net::Writer w;
+    f.encode(w);
+    walio::append_frame(path, walio::kOpPut, w.bytes());
+  }
+
+  void append_erase(Glsn glsn) {
+    net::Writer w;
+    w.u64(glsn);
+    walio::append_frame(path, walio::kOpErase, w.bytes());
+  }
+
+  // Replays the log into `store` the way a memtable recovers.
+  walio::ReplayStats replay(FragmentStore& store) {
+    return walio::replay_frames(path, [&](std::uint8_t op, net::Reader& r) {
+      if (op == walio::kOpPut) {
+        store.put(Fragment::decode(r));
+      } else {
+        ASSERT_EQ(op, walio::kOpErase);
+        store.erase(r.u64());
+      }
+    });
+  }
+
   fs::path dir;
   std::string path;
 };
 
 TEST_F(WalFixture, FreshStoreIsEmpty) {
-  WalFragmentStore wal(path);
-  EXPECT_EQ(wal.store().size(), 0u);
-  EXPECT_EQ(wal.replayed_frames(), 0u);
+  FragmentStore store;
+  const walio::ReplayStats stats = replay(store);  // no log file yet
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(stats.replayed, 0u);
+  EXPECT_EQ(stats.corrupt_skipped, 0u);
 }
 
 TEST_F(WalFixture, PutSurvivesReopen) {
-  {
-    WalFragmentStore wal(path);
-    wal.put(frag(1, 100));
-    wal.put(frag(2, 200));
-  }
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.store().size(), 2u);
-  EXPECT_EQ(reopened.replayed_frames(), 2u);
-  ASSERT_NE(reopened.store().get(2), nullptr);
-  EXPECT_EQ(reopened.store().get(2)->attrs.at("Time").as_int(), 200);
+  append_put(frag(1, 100));
+  append_put(frag(2, 200));
+  FragmentStore store;
+  EXPECT_EQ(replay(store).replayed, 2u);
+  EXPECT_EQ(store.size(), 2u);
+  ASSERT_NE(store.get(2), nullptr);
+  EXPECT_EQ(store.get(2)->attrs.at("Time").as_int(), 200);
 }
 
 TEST_F(WalFixture, EraseSurvivesReopen) {
-  {
-    WalFragmentStore wal(path);
-    wal.put(frag(1, 100));
-    wal.put(frag(2, 200));
-    EXPECT_TRUE(wal.erase(1));
-    EXPECT_FALSE(wal.erase(99));  // unknown glsn: no frame written
-  }
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.store().size(), 1u);
-  EXPECT_EQ(reopened.store().get(1), nullptr);
-  EXPECT_NE(reopened.store().get(2), nullptr);
+  append_put(frag(1, 100));
+  append_put(frag(2, 200));
+  append_erase(1);
+  FragmentStore store;
+  EXPECT_EQ(replay(store).replayed, 3u);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.get(1), nullptr);
+  EXPECT_NE(store.get(2), nullptr);
 }
 
 TEST_F(WalFixture, OverwriteKeepsLatestValue) {
-  {
-    WalFragmentStore wal(path);
-    wal.put(frag(1, 100));
-    wal.put(frag(1, 999));
-  }
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.store().size(), 1u);
-  EXPECT_EQ(reopened.store().get(1)->attrs.at("Time").as_int(), 999);
+  append_put(frag(1, 100));
+  append_put(frag(1, 999));
+  FragmentStore store;
+  replay(store);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.get(1)->attrs.at("Time").as_int(), 999);
 }
 
 TEST_F(WalFixture, TornTailIsDroppedCleanly) {
-  {
-    WalFragmentStore wal(path);
-    wal.put(frag(1, 100));
-    wal.put(frag(2, 200));
-  }
+  append_put(frag(1, 100));
+  append_put(frag(2, 200));
   // Simulate a crash mid-append: truncate the last 5 bytes.
-  auto size = fs::file_size(path);
-  fs::resize_file(path, size - 5);
-  WalFragmentStore recovered(path);
-  EXPECT_EQ(recovered.store().size(), 1u);
-  EXPECT_NE(recovered.store().get(1), nullptr);
-  EXPECT_EQ(recovered.store().get(2), nullptr);
-  EXPECT_EQ(recovered.corrupt_frames_skipped(), 1u);
+  fs::resize_file(path, fs::file_size(path) - 5);
+  FragmentStore store;
+  const walio::ReplayStats stats = replay(store);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_NE(store.get(1), nullptr);
+  EXPECT_EQ(store.get(2), nullptr);
+  EXPECT_EQ(stats.replayed, 1u);
+  EXPECT_EQ(stats.corrupt_skipped, 1u);
 }
 
 TEST_F(WalFixture, BitFlipInvalidatesFrameAndTail) {
-  {
-    WalFragmentStore wal(path);
-    wal.put(frag(1, 100));
-    wal.put(frag(2, 200));
-    wal.put(frag(3, 300));
-  }
-  // Flip one byte inside the SECOND frame's payload.
-  auto size = fs::file_size(path);
+  append_put(frag(1, 100));
+  append_put(frag(2, 200));
+  const auto second_frame_end = fs::file_size(path);
+  append_put(frag(3, 300));
+  // Flip the last payload byte of the SECOND frame: its CRC no longer
+  // matches, and the intact third frame behind it must not replay either.
+  const auto offset = static_cast<std::streamoff>(second_frame_end - 1);
   std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  f.seekp(static_cast<std::streamoff>(size / 2));
-  char byte;
-  f.seekg(static_cast<std::streamoff>(size / 2));
+  char byte = 0;
+  f.seekg(offset);
   f.read(&byte, 1);
   byte = static_cast<char>(byte ^ 0xFF);
-  f.seekp(static_cast<std::streamoff>(size / 2));
+  f.seekp(offset);
   f.write(&byte, 1);
   f.close();
-  WalFragmentStore recovered(path);
+  FragmentStore store;
+  const walio::ReplayStats stats = replay(store);
   // Recovery keeps the prefix before the corruption and drops the rest.
-  EXPECT_LT(recovered.store().size(), 3u);
-  EXPECT_GE(recovered.corrupt_frames_skipped(), 1u);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_NE(store.get(1), nullptr);
+  EXPECT_EQ(stats.replayed, 1u);
+  EXPECT_EQ(stats.corrupt_skipped, 1u);
 }
 
-TEST_F(WalFixture, CompactShrinksAndPreservesState) {
-  std::size_t reclaimed;
-  {
-    WalFragmentStore wal(path);
-    for (Glsn g = 1; g <= 20; ++g) wal.put(frag(g, static_cast<std::int64_t>(g)));
-    for (Glsn g = 1; g <= 15; ++g) wal.erase(g);
-    reclaimed = wal.compact();
-  }
-  EXPECT_GT(reclaimed, 0u);
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.store().size(), 5u);
-  for (Glsn g = 16; g <= 20; ++g) {
-    EXPECT_NE(reopened.store().get(g), nullptr) << g;
-  }
-  EXPECT_EQ(reopened.corrupt_frames_skipped(), 0u);
-}
-
+// Sealing is the segment engine's log compaction: the sealed rows live on in
+// the segment and the WAL restarts empty, so a reopen replays no frames.
 TEST_F(WalFixture, CompactedLogReplaysFasterFrames) {
+  SegmentEngine::Options opts;
+  opts.memtable_max_records = 0;  // manual seal
   {
-    WalFragmentStore wal(path);
-    for (Glsn g = 1; g <= 10; ++g) wal.put(frag(g, 1));
-    for (Glsn g = 1; g <= 10; ++g) wal.put(frag(g, 2));  // overwrites
-    wal.compact();
+    SegmentEngine eng(dir.string(), opts);
+    for (Glsn g = 1; g <= 10; ++g) eng.put(frag(g, 1));
+    for (Glsn g = 1; g <= 10; ++g) eng.put(frag(g, 2));  // overwrites
+    EXPECT_EQ(eng.seal(), 10u);
   }
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.replayed_frames(), 10u);  // one frame per live fragment
-  EXPECT_EQ(reopened.store().get(7)->attrs.at("Time").as_int(), 2);
+  reset_storage_stats();
+  SegmentEngine reopened(dir.string(), opts);
+  EXPECT_EQ(storage_stats().wal_frames_replayed, 0u);
+  EXPECT_EQ(reopened.size(), 10u);
+  EXPECT_EQ(reopened.fetch(7)->attrs.at("Time").as_int(), 2);
 }
 
 TEST_F(WalFixture, AppendSyncsEveryAcknowledgedFrame) {
-  WalFragmentStore wal(path);
-  EXPECT_EQ(wal.sync_calls(), 0u);
-  wal.put(frag(1, 100));
-  wal.put(frag(2, 200));
-  wal.erase(1);
+  SegmentEngine::Options opts;
+  opts.memtable_max_records = 0;  // no seal in between
+  SegmentEngine eng(dir.string(), opts);
+  EXPECT_EQ(eng.file_sync_calls(), 0u);
+  eng.put(frag(1, 100));
+  eng.put(frag(2, 200));
+  eng.erase(1);
   // One fsync per acknowledged frame (2 puts + 1 erase): flush() alone
   // leaves frames in the page cache, where a power cut can tear them.
-  EXPECT_EQ(wal.sync_calls(), 3u);
+  EXPECT_EQ(eng.file_sync_calls(), 3u);
 }
 
 TEST_F(WalFixture, CompactSyncsTmpAndParentDirectory) {
-  WalFragmentStore wal(path);
-  for (Glsn g = 1; g <= 5; ++g) wal.put(frag(g, static_cast<std::int64_t>(g)));
-  const std::size_t before = wal.sync_calls();
-  EXPECT_EQ(wal.dir_sync_calls(), 0u);
-  wal.compact();
-  // compact must sync the fully-written tmp log before the rename and the
-  // parent directory after it; both were previously skipped entirely.
-  EXPECT_EQ(wal.sync_calls(), before + 1);
-  EXPECT_EQ(wal.dir_sync_calls(), 1u);
-}
-
-TEST_F(WalFixture, CrashBeforeCompactRenameRecoversPreCompactState) {
-  struct CompactCrash {};
-  {
-    WalFragmentStore wal(path);
-    for (Glsn g = 1; g <= 20; ++g)
-      wal.put(frag(g, static_cast<std::int64_t>(g)));
-    for (Glsn g = 1; g <= 15; ++g) wal.erase(g);
-    // Simulate the process dying after the tmp log is written+synced but
-    // before the rename publishes it: the live log must be untouched.
-    wal.set_compact_crash_hook([] { throw CompactCrash{}; });
-    EXPECT_THROW(wal.compact(), CompactCrash);
+  SegmentEngine::Options opts;
+  opts.memtable_max_records = 0;
+  opts.auto_compact = false;
+  opts.compaction_fanout = 2;
+  SegmentEngine eng(dir.string(), opts);
+  for (Glsn g = 1; g <= 10; ++g) {
+    eng.put(frag(g, static_cast<std::int64_t>(g)));
+    if (g % 5 == 0) eng.seal();
   }
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.store().size(), 5u);
-  EXPECT_EQ(reopened.corrupt_frames_skipped(), 0u);
-  for (Glsn g = 16; g <= 20; ++g) {
-    ASSERT_NE(reopened.store().get(g), nullptr) << g;
-    EXPECT_EQ(reopened.store().get(g)->attrs.at("Time").as_int(),
-              static_cast<std::int64_t>(g));
-  }
-  // The interrupted tmp log is still on disk; a rerun of compact() from the
-  // recovered store must succeed and leave the same live set.
-  std::size_t reclaimed = reopened.compact();
-  EXPECT_GT(reclaimed, 0u);
-  WalFragmentStore after(path);
-  EXPECT_EQ(after.store().size(), 5u);
-  EXPECT_EQ(after.replayed_frames(), 5u);
+  const std::size_t files_before = eng.file_sync_calls();
+  const std::size_t dirs_before = eng.dir_sync_calls();
+  EXPECT_EQ(eng.compact(), 1u);
+  // The merged segment and the manifest tmp are synced before the rename
+  // publishes them, and the parent directory after it.
+  EXPECT_EQ(eng.file_sync_calls(), files_before + 2);
+  EXPECT_EQ(eng.dir_sync_calls(), dirs_before + 1);
 }
 
 TEST(WalCrc, KnownVector) {
